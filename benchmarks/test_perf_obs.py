@@ -8,8 +8,9 @@ actually instrument:
 
 * the RCA feature transform (``rsca`` over an 800 x 73 totals matrix),
   wrapped exactly as ``ICNProfiler.fit`` wraps it;
-* the serving vote (``FrozenProfile.vote`` over a 64-row batch),
-  wrapped exactly as ``ProfileService._classify_batch`` wraps it.
+* a 64-row serving vote through the compiled kernel
+  (``FrozenProfile.kernel().vote``), wrapped in the ``serve.kernel_vote``
+  stage exactly as ``ProfileService._classify_batch`` wraps it.
 
 Methodology: interleaved min-of-repeats.  Bare and instrumented
 variants alternate within each round so slow-machine drift (thermal,
@@ -155,12 +156,12 @@ class TestInstrumentationOverhead:
         ]
 
         def bare():
-            frozen.vote(batch)
+            frozen.kernel().vote(batch)
 
         def instrumented():
-            with timed_stage("serve.vote", registry=registry,
+            with timed_stage("serve.kernel_vote", registry=registry,
                              rows=VOTE_ROWS):
-                frozen.vote(batch)
+                frozen.kernel().vote(batch)
 
         bare()
         instrumented()
@@ -211,14 +212,14 @@ class TestFullStackOverhead:
         ]
 
         def bare():
-            frozen.vote(batch)
+            frozen.kernel().vote(batch)
 
         calls = {"n": 0}
 
         def instrumented():
-            with timed_stage("serve.vote", registry=registry,
+            with timed_stage("serve.kernel_vote", registry=registry,
                              rows=VOTE_ROWS):
-                frozen.vote(batch)
+                frozen.kernel().vote(batch)
             calls["n"] += 1
             if calls["n"] % INNER == 0:  # one scrape per timing round
                 clock["t"] += 1.0

@@ -45,6 +45,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
+    "histogram_quantile",
     "set_registry",
 ]
 
@@ -264,6 +265,40 @@ class Histogram(_Child):
         return cumulative
 
 
+def histogram_quantile(
+    q: float, buckets: Sequence[Tuple[float, float]]
+) -> Optional[float]:
+    """Prometheus ``histogram_quantile`` over cumulative bucket counts.
+
+    Args:
+        q: the quantile, in [0, 1].
+        buckets: ``(upper_bound, cumulative_count)`` pairs in ascending
+            bound order, as :meth:`Histogram.cumulative_buckets` returns
+            them (the last bound is normally ``+Inf``).
+
+    Returns the linear interpolation inside the bucket holding the
+    ``q * total`` rank, with 0 as the lower edge of the first bucket; a
+    target in the ``+Inf`` bucket yields the last finite bound.  None
+    when there are no observations.
+    """
+    if not buckets or buckets[-1][1] <= 0:
+        return None
+    target = q * buckets[-1][1]
+    previous_bound = 0.0
+    previous_count = 0.0
+    for bound, count in buckets:
+        if count >= target:
+            if math.isinf(bound):
+                return previous_bound
+            if count == previous_count:
+                return bound
+            fraction = (target - previous_count) / (count - previous_count)
+            return previous_bound + fraction * (bound - previous_bound)
+        previous_bound = 0.0 if math.isinf(bound) else bound
+        previous_count = count
+    return buckets[-2][0] if len(buckets) > 1 else buckets[-1][0]
+
+
 class _Family:
     """A named metric with a fixed type, help string, and label schema."""
 
@@ -364,6 +399,9 @@ class _Family:
     @property
     def sum(self) -> float:
         return self._default_child().sum
+
+    def snapshot(self) -> Tuple[List[int], float, int]:
+        return self._default_child().snapshot()
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         return self._default_child().cumulative_buckets()

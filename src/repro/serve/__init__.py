@@ -31,7 +31,7 @@ Quickstart::
 
 from repro.serve.cache import DEFAULT_DECIMALS, ResultCache, quantize_key
 from repro.serve.client import HttpServeClient, ServeClient
-from repro.serve.metrics import LatencyReservoir, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ProfileRegistry
 from repro.serve.scheduler import MicroBatcher, ShedRequest
 from repro.serve.service import (
@@ -47,7 +47,6 @@ __all__ = [
     "ClassifyResult",
     "DEFAULT_DECIMALS",
     "HttpServeClient",
-    "LatencyReservoir",
     "MicroBatcher",
     "PendingClassify",
     "ProfileRegistry",

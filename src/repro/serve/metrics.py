@@ -1,45 +1,39 @@
-"""Serving-side counters, latency reservoir, and batch-size histogram.
+"""Serving-side counters and histograms.
 
 :class:`ServeMetrics` is the serving counterpart of
 :class:`repro.stream.metrics.StreamMetrics`: where the stream metrics
 describe an ingestion node, these describe a query-serving node — request
-and query counts, executed micro-batches with their size distribution,
-cache hits/misses, shed (load-rejected) requests, and a bounded
-reservoir of per-request latencies from which p50/p95/p99 are derived.
-Both classes export the same ``to_dict()`` JSON shape (``counters`` /
-``derived`` sections) so one dashboard can scrape either node type.
+and query counts, executed micro-batches, cache hits/misses and shed
+(load-rejected) requests.  Both classes export the same ``to_dict()``
+JSON shape (``counters`` / ``derived`` sections) so one dashboard can
+scrape either node type.
 
-Since the observability layer landed, both classes are thin facades over
-a :class:`repro.obs.MetricsRegistry`: every counter is a registry
-counter family (``repro_serve_<name>_total``), latencies and the new
-request-lifecycle timings (queue wait, batch assembly) additionally feed
-registry histograms, and :meth:`ServeMetrics.prometheus_text` renders
-the whole node state in the Prometheus text format for the serve
-endpoint's ``GET /metrics``.  Each instance owns a private registry by
-default so independent services stay independent; pass a shared
-registry explicitly to merge several components onto one exposition
-surface.
+Both classes are thin facades over a
+:class:`repro.obs.MetricsRegistry`: every counter is a registry counter
+family (``repro_serve_<name>_total``), and request latency, queue wait,
+batch assembly and rows per batch are registry histograms.  The request
+latency histogram is the one latency record: the derived p50/p95/p99
+apply :func:`repro.obs.registry.histogram_quantile` to its cumulative
+buckets — the same interpolation ``quantile(q,
+repro_serve_request_latency_seconds[60s])`` runs over a window on
+``GET /query`` — and :meth:`ServeMetrics.prometheus_text` renders the
+whole node state for the serve endpoint's ``GET /metrics``.  Each
+instance owns a private registry by default so independent services stay
+independent; pass a shared registry explicitly to merge several
+components onto one exposition surface.
 
 All mutators are thread-safe: the serving layer updates metrics from
 worker threads, HTTP handler threads, and client threads concurrently.
-Audit note: quantile reads (:meth:`LatencyReservoir.quantiles_ms`) now
-sort **one** locked snapshot of the reservoir instead of re-locking per
-percentile, so the reported p50/p95/p99 trio is always internally
-consistent even while worker threads keep swapping reservoir slots.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, histogram_quantile
 from repro.obs.trace import current_trace_id
-
-#: Default number of latency samples the reservoir retains.
-DEFAULT_RESERVOIR_SIZE = 2048
 
 #: Bucket bounds of the exposition latency histograms (seconds).
 LATENCY_BUCKETS = (
@@ -50,93 +44,10 @@ LATENCY_BUCKETS = (
 BATCH_ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-class LatencyReservoir:
-    """Fixed-size uniform reservoir of latency samples (seconds).
-
-    Keeps at most ``capacity`` samples via Vitter's algorithm R, so the
-    retained set is a uniform sample of everything observed; quantiles
-    over the reservoir estimate quantiles of the full latency stream
-    without unbounded memory.  The replacement RNG is seeded, so a
-    replayed request sequence yields the same reservoir.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_RESERVOIR_SIZE,
-                 seed: int = 0xA5) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._samples: List[float] = []
-        self._seen = 0
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        """Fold one latency sample into the reservoir.
-
-        The seen-count bump, slot draw, and slot swap happen under one
-        lock acquisition — concurrent observers can never double-assign
-        a slot or skew the replacement probability.
-        """
-        value = float(seconds)
-        with self._lock:
-            self._seen += 1
-            if len(self._samples) < self.capacity:
-                self._samples.append(value)
-            else:
-                slot = self._rng.randrange(self._seen)
-                if slot < self.capacity:
-                    self._samples[slot] = value
-
-    @property
-    def n_seen(self) -> int:
-        """Total samples observed (retained or not)."""
-        with self._lock:
-            return self._seen
-
-    def snapshot(self) -> List[float]:
-        """Sorted copy of the retained samples (one lock acquisition)."""
-        with self._lock:
-            return sorted(self._samples)
-
-    @staticmethod
-    def _percentile_of(samples: Sequence[float], q: float) -> float:
-        if not samples:
-            return 0.0
-        if len(samples) == 1:
-            return samples[0]
-        rank = (q / 100.0) * (len(samples) - 1)
-        low = int(rank)
-        high = min(low + 1, len(samples) - 1)
-        frac = rank - low
-        return samples[low] * (1.0 - frac) + samples[high] * frac
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile ``q`` in [0, 100] (0.0 if empty)."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        return self._percentile_of(self.snapshot(), q)
-
-    def quantiles_ms(self) -> Dict[str, float]:
-        """The dashboard trio — p50/p95/p99 in milliseconds.
-
-        All three quantiles come from a single locked snapshot, so the
-        trio is internally consistent under concurrent observers (the
-        old per-percentile locking could interleave reservoir swaps
-        between the p50 and p99 reads).
-        """
-        samples = self.snapshot()
-        return {
-            "p50_ms": self._percentile_of(samples, 50.0) * 1e3,
-            "p95_ms": self._percentile_of(samples, 95.0) * 1e3,
-            "p99_ms": self._percentile_of(samples, 99.0) * 1e3,
-        }
-
-
 class ServeMetrics:
-    """Counters, latency reservoir, and batch histogram for one server.
+    """Counters, gauges and histograms for one server.
 
     Args:
-        reservoir_size: latency reservoir capacity.
         registry: back the metrics onto this
             :class:`~repro.obs.MetricsRegistry` (a fresh private one by
             default).  Sharing a registry between components merges them
@@ -155,8 +66,7 @@ class ServeMetrics:
         "reloads",
     )
 
-    def __init__(self, reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._counters = {
             name: self.registry.counter(
@@ -165,9 +75,7 @@ class ServeMetrics:
             )
             for name in self.COUNTERS
         }
-        self._batch_sizes: Dict[int, int] = {}
         self._lock = threading.Lock()
-        self.latency = LatencyReservoir(reservoir_size)
         self._latency_hist = self.registry.histogram(
             "repro_serve_request_latency_seconds",
             "End-to-end request latency",
@@ -198,15 +106,6 @@ class ServeMetrics:
             "repro_serve_cache_hit_rate",
             "Fraction of vector lookups answered from cache (0 before any)",
         ).set_function(lambda: self.cache_hit_rate() or 0.0)
-        quantile_gauge = self.registry.gauge(
-            "repro_serve_latency_ms",
-            "Reservoir latency quantiles in milliseconds",
-            labelnames=("quantile",),
-        )
-        for q in (50.0, 95.0, 99.0):
-            quantile_gauge.labels(quantile=f"p{q:.0f}").set_function(
-                lambda q=q: self.latency.percentile(q) * 1e3
-            )
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Increment one counter."""
@@ -232,7 +131,6 @@ class ServeMetrics:
             if self._first_request is None:
                 self._first_request = now
             self._last_request = now
-        self.latency.observe(latency_seconds)
         # With tracing on, the active trace id rides along as the
         # histogram exemplar, so a latency-SLO violation names the
         # exact trace to replay.  One thread-local read per request.
@@ -245,8 +143,6 @@ class ServeMetrics:
         rows = int(n_rows)
         self._counters["batches_executed"].inc()
         self._batch_rows_hist.observe(rows)
-        with self._lock:
-            self._batch_sizes[rows] = self._batch_sizes.get(rows, 0) + 1
 
     def observe_queue_wait(self, seconds: float) -> None:
         """Record one request's queue wait (submit -> batch execution)."""
@@ -276,17 +172,23 @@ class ServeMetrics:
         total = hits + misses
         return hits / total if total else None
 
-    def batch_size_histogram(self) -> Dict[int, int]:
-        """Rows-per-batch -> batch count."""
-        with self._lock:
-            return dict(self._batch_sizes)
-
     def mean_batch_size(self) -> float:
         """Average rows per executed micro-batch (0.0 before any batch)."""
-        batches = self.count("batches_executed")
-        with self._lock:
-            total = sum(size * n for size, n in self._batch_sizes.items())
+        _, total, batches = self._batch_rows_hist.snapshot()
         return total / batches if batches else 0.0
+
+    def latency_quantiles_ms(self) -> Dict[str, Optional[float]]:
+        """p50/p95/p99 request latency in ms (None before any request).
+
+        Interpolated from one snapshot of the request-latency histogram's
+        cumulative buckets, so the trio is mutually consistent.
+        """
+        buckets = self._latency_hist.cumulative_buckets()
+        quantiles: Dict[str, Optional[float]] = {}
+        for q in (50, 95, 99):
+            seconds = histogram_quantile(q / 100, buckets)
+            quantiles[f"p{q}_ms"] = None if seconds is None else seconds * 1e3
+        return quantiles
 
     # ------------------------------------------------------------------
     # Reporting
@@ -295,16 +197,17 @@ class ServeMetrics:
     def summary(self) -> str:
         """Human-readable metrics block."""
         hit_rate = self.cache_hit_rate()
-        quantiles = self.latency.quantiles_ms()
+        q = self.latency_quantiles_ms()
         lines = [
             f"requests served:   {self.count('requests')} "
             f"({self.qps():,.0f} qps)",
             f"vectors classified: {self.count('vectors_classified')}",
             f"micro-batches:     {self.count('batches_executed')} "
             f"(mean size {self.mean_batch_size():.1f})",
-            f"latency:           p50 {quantiles['p50_ms']:.2f} ms, "
-            f"p95 {quantiles['p95_ms']:.2f} ms, "
-            f"p99 {quantiles['p99_ms']:.2f} ms",
+            "latency:           "
+            + (f"p50 {q['p50_ms']:.2f} ms, p95 {q['p95_ms']:.2f} ms, "
+               f"p99 {q['p99_ms']:.2f} ms" if q["p50_ms"] is not None
+               else "n/a"),
             f"cache hit rate:    "
             + (f"{hit_rate:.1%}" if hit_rate is not None else "n/a"),
             f"shed requests:     {self.count('shed_requests')}",
@@ -316,18 +219,15 @@ class ServeMetrics:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot (same shape as StreamMetrics)."""
         counters = {name: self.count(name) for name in self.COUNTERS}
-        with self._lock:
-            histogram = {str(k): v for k, v in sorted(self._batch_sizes.items())}
         hit_rate = self.cache_hit_rate()
         derived: Dict[str, object] = {
             "qps": self.qps(),
             "mean_batch_size": self.mean_batch_size(),
             "cache_hit_rate": hit_rate,
         }
-        derived.update(self.latency.quantiles_ms())
+        derived.update(self.latency_quantiles_ms())
         return {
             "counters": counters,
-            "batch_size_histogram": histogram,
             "derived": derived,
             # Monotonic stamp so TSDB ingestion and bench_compare diffs
             # can reject a stale (cached / re-served) snapshot: any
@@ -339,13 +239,3 @@ class ServeMetrics:
         """This node's registry in the Prometheus text exposition format."""
         return self.registry.prometheus_text()
 
-
-def merge_batch_histograms(
-    histograms: Sequence[Dict[int, int]]
-) -> Dict[int, int]:
-    """Sum batch-size histograms from several servers into one."""
-    merged: Dict[int, int] = {}
-    for histogram in histograms:
-        for size, count in histogram.items():
-            merged[int(size)] = merged.get(int(size), 0) + int(count)
-    return merged

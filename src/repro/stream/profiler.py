@@ -197,7 +197,7 @@ class StreamingProfiler:
             the frozen profile's vote.
         """
         ids, features = self.totals.rsca_nonzero()
-        return ids, self.frozen.vote(features)
+        return ids, self.frozen.kernel().vote(features)
 
     def _occupancy_of(self, labels: np.ndarray) -> Dict[int, int]:
         occupancy = {int(c): 0 for c in self.frozen.clusters}
@@ -226,7 +226,7 @@ class StreamingProfiler:
         """
         with span("stream.drift"), self.metrics.timer("drift_seconds"):
             ids, features = self.totals.rsca_nonzero()
-            labels = self.frozen.vote(features)
+            labels = self.frozen.kernel().vote(features)
             frozen_pos = {
                 int(aid): row for row, aid in enumerate(self.frozen.antenna_ids)
             }

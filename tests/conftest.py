@@ -101,6 +101,16 @@ def build_frozen_profile(n_antennas=120, n_services=12, n_clusters=4,
     ), totals
 
 
+class BrokenKernel:
+    """Stands in for ``FrozenProfile.kernel()`` with every call failing."""
+
+    def vote(self, features):
+        raise RuntimeError("kernel exploded")
+
+    def rsca_of_volumes(self, volumes):
+        raise RuntimeError("kernel exploded")
+
+
 @pytest.fixture(scope="session")
 def tiny_frozen():
     """Session-shared small frozen profile plus its raw totals."""

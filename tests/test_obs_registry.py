@@ -9,6 +9,7 @@ from repro.obs.registry import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     get_registry,
+    histogram_quantile,
     set_registry,
 )
 
@@ -117,6 +118,34 @@ class TestHistogram:
         registry.histogram("h", buckets=(1.0,))
         with pytest.raises(ValueError, match="buckets"):
             registry.histogram("h", buckets=(2.0,))
+
+
+class TestHistogramQuantile:
+    BOUNDS = (0.0005, 0.001, 0.0025)
+
+    def _hist(self, *values):
+        hist = MetricsRegistry().histogram("h", buckets=self.BOUNDS)
+        for value in values:
+            hist.observe(value)
+        return hist.cumulative_buckets()
+
+    def test_single_sample_interpolates_inside_its_bucket(self):
+        # One 1 ms sample in (0.5, 1] ms: rank 0.5 of 1 lands halfway.
+        assert histogram_quantile(0.5, self._hist(0.001)) == pytest.approx(
+            0.00075
+        )
+
+    def test_empty_histogram_is_none(self):
+        assert histogram_quantile(0.5, self._hist()) is None
+        assert histogram_quantile(0.5, []) is None
+
+    def test_target_in_inf_bucket_returns_last_finite_bound(self):
+        buckets = self._hist(0.0002, 7.0, 9.0)
+        assert histogram_quantile(0.99, buckets) == 0.0025
+
+    def test_first_bucket_interpolates_from_zero(self):
+        buckets = self._hist(0.0001, 0.0001, 0.0001, 0.0001)
+        assert histogram_quantile(0.25, buckets) == pytest.approx(0.000125)
 
 
 class TestPrometheusText:

@@ -14,7 +14,7 @@ from repro.serve import (
     ServeHTTPServer,
     make_server,
 )
-from tests.conftest import build_frozen_profile
+from tests.conftest import BrokenKernel, build_frozen_profile
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,25 @@ class TestErrorMapping:
             service.close()
             thread.join(5.0)
 
+    def test_broken_kernel_503(self):
+        frozen, _ = build_frozen_profile(seed=11)
+        frozen._kernel = BrokenKernel()
+        service = ProfileService(frozen, n_workers=1, cache_size=0)
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(f"http://{host}:{port}", "/classify",
+                      {"vectors": frozen.features[:2].tolist()})
+            assert excinfo.value.code == 503
+            assert service.metrics.count("errors") == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
     def test_http_client_raises_runtime_error(self, live_server):
         base_url, _ = live_server
         client = HttpServeClient(base_url)
@@ -171,7 +190,6 @@ class TestObservability:
         # Required series: qps, latency, cache, shed.
         assert "# TYPE repro_serve_qps gauge" in text
         assert "repro_serve_request_latency_seconds_bucket" in text
-        assert 'repro_serve_latency_ms{quantile="p95"}' in text
         assert "repro_serve_cache_hits_total" in text
         assert "repro_serve_shed_requests_total" in text
         assert "repro_serve_requests_total" in text

@@ -1,52 +1,11 @@
-"""Tests for the serving-side metrics: reservoir, counters, export."""
+"""Tests for the serving-side metrics: counters, latency, export."""
 
 import json
 
 import pytest
 
-from repro.serve.metrics import (
-    LatencyReservoir,
-    ServeMetrics,
-    merge_batch_histograms,
-)
-
-
-class TestLatencyReservoir:
-    def test_percentiles_exact_on_small_sample(self):
-        reservoir = LatencyReservoir(capacity=100)
-        for value in [0.010, 0.020, 0.030, 0.040, 0.050]:
-            reservoir.observe(value)
-        assert reservoir.percentile(0) == pytest.approx(0.010)
-        assert reservoir.percentile(50) == pytest.approx(0.030)
-        assert reservoir.percentile(100) == pytest.approx(0.050)
-        assert reservoir.percentile(25) == pytest.approx(0.020)
-
-    def test_empty_reservoir_reports_zero(self):
-        assert LatencyReservoir().percentile(95) == 0.0
-
-    def test_capacity_is_bounded_and_sample_stays_in_range(self):
-        reservoir = LatencyReservoir(capacity=32)
-        for index in range(10_000):
-            reservoir.observe(index / 10_000)
-        assert reservoir.n_seen == 10_000
-        assert len(reservoir._samples) == 32
-        p50 = reservoir.percentile(50)
-        # A uniform reservoir over uniform data should estimate the median
-        # loosely; mostly this guards against systematic bias.
-        assert 0.2 < p50 < 0.8
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-        with pytest.raises(ValueError):
-            LatencyReservoir().percentile(101)
-
-    def test_quantiles_ms_keys(self):
-        reservoir = LatencyReservoir()
-        reservoir.observe(0.002)
-        quantiles = reservoir.quantiles_ms()
-        assert set(quantiles) == {"p50_ms", "p95_ms", "p99_ms"}
-        assert quantiles["p50_ms"] == pytest.approx(2.0)
+from repro.obs.tsdb import MetricsTSDB
+from repro.serve.metrics import ServeMetrics
 
 
 class TestServeMetrics:
@@ -72,7 +31,7 @@ class TestServeMetrics:
         metrics.observe_batch(4)
         metrics.observe_batch(4)
         metrics.observe_batch(16)
-        assert metrics.batch_size_histogram() == {4: 2, 16: 1}
+        assert metrics.registry.get("repro_serve_batch_rows").count == 3
         assert metrics.mean_batch_size() == pytest.approx(8.0)
 
     def test_qps_zero_until_two_requests(self):
@@ -89,8 +48,9 @@ class TestServeMetrics:
         text = json.dumps(snapshot)
         assert "counters" in snapshot and "derived" in snapshot
         assert snapshot["counters"]["requests"] == 1
-        assert snapshot["batch_size_histogram"] == {"2": 1}
-        assert json.loads(text)["derived"]["p50_ms"] == pytest.approx(1.0)
+        # One 1 ms sample in the (0.5, 1] ms bucket: p50 sits halfway.
+        assert json.loads(text)["derived"]["p50_ms"] == pytest.approx(0.75)
+        assert json.loads(text)["derived"]["mean_batch_size"] == 2.0
 
     def test_to_dict_snapshot_ts_is_monotonic(self):
         metrics = ServeMetrics()
@@ -107,7 +67,32 @@ class TestServeMetrics:
         assert "cache hit rate:    n/a" in text
         assert "p95" in text
 
+    def test_latency_quantiles_ms_keys(self):
+        metrics = ServeMetrics()
+        assert metrics.latency_quantiles_ms() == {
+            "p50_ms": None, "p95_ms": None, "p99_ms": None,
+        }
+        metrics.observe_request(0.002)
+        quantiles = metrics.latency_quantiles_ms()
+        assert set(quantiles) == {"p50_ms", "p95_ms", "p99_ms"}
+        # (1, 2.5] ms bucket, rank 0.5 of 1.
+        assert quantiles["p50_ms"] == pytest.approx(1.75)
 
-def test_merge_batch_histograms():
-    merged = merge_batch_histograms([{1: 2, 8: 1}, {8: 3}, {}])
-    assert merged == {1: 2, 8: 4}
+    def test_summary_before_any_request(self):
+        assert "latency:           n/a" in ServeMetrics().summary()
+
+    def test_p95_matches_tsdb_quantile_over_time(self):
+        # One interpolation serves both the snapshot and GET /query.
+        metrics = ServeMetrics()
+        tsdb = MetricsTSDB(metrics.registry)
+        # The empty read also creates the series the baseline scrape sees.
+        assert metrics.to_dict()["derived"]["p95_ms"] is None
+        tsdb.record(now=0.0)
+        for ms in (0.3, 0.7, 1.2, 2.0, 3.0, 4.5, 8.0, 20.0, 60.0, 300.0):
+            metrics.observe_request(ms / 1e3)
+        tsdb.record(now=10.0)
+        windowed = tsdb.quantile_over_time(
+            0.95, "repro_serve_request_latency_seconds", 60.0, now=10.0
+        )
+        assert windowed == pytest.approx(0.375)  # halfway into (0.25, 0.5]
+        assert metrics.to_dict()["derived"]["p95_ms"] == windowed * 1e3

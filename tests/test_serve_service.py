@@ -7,8 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import ProfileService, ServeClient, ShedRequest
-from tests.conftest import build_frozen_profile
+from repro.serve import (
+    ProfileService,
+    ServeClient,
+    ServeDegradePolicy,
+    ShedRequest,
+)
+from tests.conftest import BrokenKernel, build_frozen_profile
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +232,26 @@ class TestHotSwap:
             assert late.version == 2
             assert np.array_equal(late.labels, expected[2][:4])
 
+    def test_shed_on_hot_swap_resubmit_counts_as_shed(self,
+                                                      frozen_and_totals):
+        frozen_a, _ = frozen_and_totals
+        frozen_b, _ = build_frozen_profile(label_shift=10)
+        # The long gather window holds the batch until after the reload.
+        with ProfileService(frozen_a, max_wait_ms=300.0,
+                            n_workers=1) as svc:
+            svc.classify(frozen_a.features[:2])  # rows 0-1 now cached
+            pending = svc.submit(frozen_a.features[:4])
+            svc.reload(frozen_b)
+
+            def shed(features):
+                raise ShedRequest(1, 1, 0.05)
+
+            svc._batcher.submit = shed  # the hot-swap re-submit sheds
+            with pytest.raises(ShedRequest):
+                pending.result(timeout=10.0)
+            assert svc.metrics.count("shed_requests") == 1
+            assert svc.metrics.count("errors") == 0
+
 
 class TestAdmissionControl:
     def test_shed_surfaces_and_counts(self):
@@ -234,13 +259,14 @@ class TestAdmissionControl:
         # queue reliably fills to the watermark.
         frozen, _ = build_frozen_profile(n_antennas=60)
         release = threading.Event()
-        original_vote = frozen.vote
+        kernel = frozen.kernel()
+        original_vote = kernel.vote
 
         def slow_vote(features):
             release.wait(10.0)
             return original_vote(features)
 
-        frozen.vote = slow_vote  # instance attribute shadows the method
+        kernel.vote = slow_vote  # instance attribute shadows the method
         with ProfileService(frozen, max_batch=1, max_wait_ms=0.0,
                             n_workers=1, max_queue_depth=2,
                             cache_size=0) as svc:
@@ -295,38 +321,6 @@ class TestCompiledKernelRouting:
             assert family is not None
             assert family.labels(stage="serve.kernel_vote").count >= 1
 
-    def test_use_compiled_false_pins_object_path(self, frozen_and_totals):
-        frozen, _ = frozen_and_totals
-        with ProfileService(frozen, max_batch=16, n_workers=1, cache_size=0,
-                            use_compiled=False) as svc:
-            queries = frozen.features[:20]
-            result = svc.classify(queries)
-            assert np.array_equal(result.labels, frozen.vote(queries))
-            family = svc.metrics.registry.get("repro_stage_seconds")
-            assert family.labels(stage="serve.kernel_vote").count == 0
-            assert family.labels(stage="serve.vote").count >= 1
-
-    def test_kernel_failure_falls_back_to_object_forest(self):
-        frozen, _ = build_frozen_profile(seed=11)
-
-        class _BrokenKernel:
-            def vote(self, features):
-                raise RuntimeError("kernel exploded")
-
-            def rsca_of_volumes(self, volumes):
-                raise RuntimeError("kernel exploded")
-
-        frozen._kernel = _BrokenKernel()
-        with ProfileService(frozen, max_batch=16, n_workers=1,
-                            cache_size=0) as svc:
-            queries = frozen.features[:10]
-            result = svc.classify(queries)
-            # Full-fidelity answer from the object forest, NOT degraded.
-            assert np.array_equal(result.labels, frozen.vote(queries))
-            assert not result.degraded
-            fallback = svc.metrics.registry.get("repro_kernel_fallback_total")
-            assert fallback.value >= 1
-
     def test_volume_queries_use_fused_transform(self, frozen_and_totals):
         frozen, totals = frozen_and_totals
         with ProfileService(frozen, max_batch=16, n_workers=1,
@@ -338,20 +332,50 @@ class TestCompiledKernelRouting:
             family = svc.metrics.registry.get("repro_stage_seconds")
             assert family.labels(stage="serve.rsca_transform").count >= 1
 
-    def test_broken_volume_kernel_falls_back(self):
+    def test_kernel_vote_is_the_only_vote_stage(self, frozen_and_totals):
+        frozen, _ = frozen_and_totals
+        with ProfileService(frozen, n_workers=1, cache_size=0) as svc:
+            svc.classify(frozen.features[:4])
+            family = svc.metrics.registry.get("repro_stage_seconds")
+            stages = {values[0] for values, _ in family.series()}
+            assert "serve.kernel_vote" in stages
+            assert "serve.vote" not in stages
+
+
+class TestKernelFailure:
+    """A broken kernel is a typed, counted vote failure — no fallback."""
+
+    def test_classify_raises_and_counts_error(self):
+        frozen, _ = build_frozen_profile(seed=11)
+        frozen._kernel = BrokenKernel()
+        with ProfileService(frozen, n_workers=1, cache_size=0) as svc:
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                svc.classify(frozen.features[:10])
+            assert svc.metrics.count("errors") == 1
+            assert svc.metrics.count("requests") == 0
+
+    def test_classify_volumes_raises_and_counts_error(self):
         frozen, totals = build_frozen_profile(seed=12)
+        frozen._kernel = BrokenKernel()
+        with ProfileService(frozen, n_workers=1, cache_size=0) as svc:
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                svc.classify_volumes(totals[:6])
+            assert svc.metrics.count("errors") == 1
 
-        class _BrokenKernel:
-            def vote(self, features):
-                raise RuntimeError("kernel exploded")
-
-            def rsca_of_volumes(self, volumes):
-                raise RuntimeError("kernel exploded")
-
-        frozen._kernel = _BrokenKernel()
-        with ProfileService(frozen, max_batch=16, n_workers=1,
-                            cache_size=0) as svc:
-            volumes = totals[:6]
-            result = svc.classify_volumes(volumes)
-            expected = frozen.vote(frozen.rsca_of_volumes(volumes))
-            assert np.array_equal(result.labels, expected)
+    def test_degrade_policy_answers_from_nearest_centroids(self):
+        frozen, totals = build_frozen_profile(seed=13)
+        frozen._kernel = BrokenKernel()
+        queries = frozen.features[:10]
+        with ProfileService(frozen, n_workers=1, cache_size=0,
+                            degrade=ServeDegradePolicy()) as svc:
+            result = svc.classify(queries)
+            assert result.degraded
+            assert np.array_equal(result.labels,
+                                  frozen.nearest_centroids(queries))
+            volumes = svc.classify_volumes(totals[:6])
+            assert volumes.degraded
+            assert np.array_equal(
+                volumes.labels,
+                frozen.nearest_centroids(frozen.rsca_of_volumes(totals[:6])),
+            )
+            assert svc.metrics.count("errors") == 2

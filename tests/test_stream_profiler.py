@@ -97,6 +97,9 @@ class TestStreamingProfiler:
         ids, labels = streamer.classify_current()
         reference = frozen.labels[np.searchsorted(frozen.antenna_ids, ids)]
         assert np.mean(labels == reference) > 0.9
+        # The kernel vote is bit-identical to the object forest's.
+        _, features = streamer.totals.rsca_nonzero()
+        assert np.array_equal(labels, frozen.vote(features))
 
     def test_occupancy_counts_all_classified_antennas(self, frozen, batches):
         streamer = StreamingProfiler(frozen, window_hours=24,
